@@ -27,14 +27,8 @@
 // poisoned map trips kNoFabricatedLink and leaves a post-mortem bundle —
 // the invariant-to-bundle path exercised end to end.
 //
-// Determinism contract (same as chaos_run): per-episode seeds are
-// pre-drawn from Rng(seed) in episode order, each episode derives ALL of
-// its randomness from its own seed, episodes fan out over
-// bench::parallel_sweep (results in item order), histograms fold with
-// obs::Histogram::merge, and per-episode recorder streams are buffered and
-// emitted in episode order — so stdout, --out, --stream and every bundle
-// are byte-identical at ANY thread count.  No wall-clock values are
-// emitted.
+// Output is byte-identical at any --threads: see the episode harness
+// contract in docs/observability.md.
 //
 // Exit codes: 0 = the security gate held: EVERY episode's hardened map had
 // zero fabricated links at every round and converged to ground truth,
@@ -43,9 +37,6 @@
 // above applies instead); 1 = the gate failed; 2 = usage/setup error.
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
 #include <string>
@@ -54,11 +45,10 @@
 #include "bench/parallel.hpp"
 #include "obs/hist.hpp"
 #include "obs/json.hpp"
-#include "obs/recorder.hpp"
-#include "obs/timeline.hpp"
 #include "scenario/adversary.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "tools/episode.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -90,15 +80,11 @@ struct EpisodeResult {
   bool ground_truth_ok = false;
   obs::Histogram hops_snapshot;  // time-to-correct-map, hardened side
   obs::Histogram hops_lldp;      // time-to-correct-map, baseline side
-  std::string stream;            // buffered window stream (deterministic)
-  std::string bundle;            // post-mortem bundle, empty unless triggered
-  std::uint64_t alerts = 0;
+  episode::Recording rec;
 };
 
 struct Config {
-  std::uint64_t episodes = 60;
-  std::uint64_t seed = 1;
-  unsigned threads = 1;
+  episode::Sweep sweep{60};  // --episodes default
   std::string topo = "torus";
   std::size_t n = 16;
   std::vector<std::string> attacks = {"lldp_spoof", "probe_wormhole",
@@ -111,10 +97,7 @@ struct Config {
   bool no_nonce = false;
   bool no_ingress = false;
   bool no_rate_guard = false;
-  std::string out_path;
-  std::string stream_path;
   std::uint64_t recorder_window = 256;
-  std::string bundle_dir;
 
   bool nonce_on() const { return !no_defense && !no_nonce; }
   bool ingress_on() const { return !no_defense && !no_ingress; }
@@ -122,23 +105,7 @@ struct Config {
   bool ablated() const {
     return no_defense || no_nonce || no_ingress || no_rate_guard;
   }
-  bool recording() const {
-    return !stream_path.empty() || !bundle_dir.empty();
-  }
 };
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (from <= s.size()) {
-    const std::size_t comma = s.find(',', from);
-    const std::size_t to = comma == std::string::npos ? s.size() : comma;
-    if (to > from) out.push_back(s.substr(from, to - from));
-    if (comma == std::string::npos) break;
-    from = comma + 1;
-  }
-  return out;
-}
 
 EpisodeResult run_episode(const Config& cfg, std::uint64_t ep_seed,
                           std::size_t index) {
@@ -172,20 +139,11 @@ EpisodeResult run_episode(const Config& cfg, std::uint64_t ep_seed,
   spec.discovery.attack = scenario::attack_kind_name(a.kind);
   scenario::sort_schedule(spec.schedule);
 
-  scenario::ScenarioResult res;
   EpisodeResult out;
-  if (cfg.recording()) {
-    obs::Timeline tl(spec.graph);
-    obs::RecorderConfig rc;
-    rc.window_events = cfg.recorder_window;
-    obs::Recorder recorder(rc);
-    res = scenario::run_scenario(spec, &tl, &recorder);
-    out.stream = recorder.stream();
-    out.bundle = recorder.bundle();
-    out.alerts = recorder.alert_count();
-  } else {
-    res = scenario::run_scenario(spec);
-  }
+  const scenario::ScenarioResult res =
+      cfg.sweep.recording()
+          ? episode::run_recorded(spec, cfg.recorder_window, out.rec)
+          : scenario::run_scenario(spec);
   const obs::DiscoveryReportSection& d = res.discovery;
   out.seed = ep_seed;
   out.attack = d.attack;
@@ -213,13 +171,36 @@ EpisodeResult run_episode(const Config& cfg, std::uint64_t ep_seed,
   return out;
 }
 
+/// The security gate's counts.  "Clean" means the PEAK: zero fabricated
+/// links in the hardened map at every round, not just the final one — a map
+/// that was poisoned mid-attack and healed afterwards already tripped
+/// kNoFabricatedLink, and the gate must agree with it.
+struct Tally {
+  std::uint64_t clean = 0;
+  std::uint64_t converged = 0;
+  std::map<std::string, std::uint64_t> baseline_fabricated;  // per attack kind
+  bool baseline_fooled = true;  // every --attacks kind fooled it at least once
+};
+
+Tally tally(const Config& cfg, const std::vector<EpisodeResult>& eps) {
+  Tally t;
+  for (const EpisodeResult& e : eps) {
+    t.clean += e.snapshot_fabricated_peak == 0 ? 1 : 0;
+    t.converged += e.snapshot_converged ? 1 : 0;
+    t.baseline_fabricated[e.attack] += e.lldp_fabricated_peak >= 1 ? 1 : 0;
+  }
+  for (const std::string& kind : cfg.attacks)
+    t.baseline_fooled = t.baseline_fooled && t.baseline_fabricated[kind] >= 1;
+  return t;
+}
+
 void write_output(std::ostream& os, const Config& cfg,
                   const std::vector<EpisodeResult>& eps) {
   {
     obs::JsonObj o;
     o.add("type", "attack_run")
-        .add("episodes", cfg.episodes)
-        .add("seed", cfg.seed)
+        .add("episodes", cfg.sweep.items)
+        .add("seed", cfg.sweep.seed)
         .add("topology", cfg.topo)
         .add("n", cfg.n)
         .add("attacks", util::join(cfg.attacks, ","))
@@ -258,8 +239,8 @@ void write_output(std::ostream& os, const Config& cfg,
         .add("lldp_msgs", e.lldp_msgs)
         .add("lldp_hops_to_correct", e.lldp_hops)
         .add("ground_truth_ok", e.ground_truth_ok);
-    if (cfg.recording())
-      o.add("alerts", e.alerts).add("bundled", !e.bundle.empty());
+    if (cfg.sweep.recording())
+      o.add("alerts", e.rec.alerts).add("bundled", !e.rec.bundle.empty());
     os << o.str() << "\n";
   }
   const obs::Histogram hops_snapshot = bench::merge_hist_shards(
@@ -269,211 +250,104 @@ void write_output(std::ostream& os, const Config& cfg,
   os << hops_snapshot.to_json("hops_to_correct_snapshot") << "\n";
   os << hops_lldp.to_json("hops_to_correct_lldp") << "\n";
 
-  // The security gate, tallied per attack kind.  "Clean" means the PEAK:
-  // zero fabricated links in the hardened map at every round, not just the
-  // final one — a map that was poisoned mid-attack and healed afterwards
-  // already tripped kNoFabricatedLink, and the gate must agree with it.
-  std::uint64_t clean = 0, converged = 0;
-  std::map<std::string, std::uint64_t> baseline_fabricated;
-  for (const EpisodeResult& e : eps) {
-    clean += e.snapshot_fabricated_peak == 0 ? 1 : 0;
-    converged += e.snapshot_converged ? 1 : 0;
-    baseline_fabricated[e.attack] += e.lldp_fabricated_peak >= 1 ? 1 : 0;
-  }
-  bool baseline_fooled_everywhere = true;
-  for (const std::string& kind : cfg.attacks)
-    baseline_fooled_everywhere =
-        baseline_fooled_everywhere && baseline_fabricated[kind] >= 1;
+  const Tally t = tally(cfg, eps);
   obs::JsonObj o;
   o.add("type", "attack_summary")
       .add("episodes", eps.size())
-      .add("snapshot_clean", clean)
-      .add("snapshot_converged", converged)
-      .add("gate_snapshot_clean", clean == eps.size())
-      .add("gate_snapshot_converged", converged == eps.size())
-      .add("gate_baseline_fooled", baseline_fooled_everywhere)
+      .add("snapshot_clean", t.clean)
+      .add("snapshot_converged", t.converged)
+      .add("gate_snapshot_clean", t.clean == eps.size())
+      .add("gate_snapshot_converged", t.converged == eps.size())
+      .add("gate_baseline_fooled", t.baseline_fooled)
       .add("hops_snapshot", hops_snapshot.summary())
       .add("hops_lldp", hops_lldp.summary());
-  for (const auto& [kind, count] : baseline_fabricated)
+  for (const auto& [kind, count] : t.baseline_fabricated)
     o.add(util::cat("baseline_fabricated_", kind), count);
   os << o.str() << "\n";
 }
 
-int usage() {
+constexpr const char* kUsage =
+    "usage: attack_run [--episodes N] [--seed S] [--threads T]\n"
+    "                  [--out FILE] [--topo KIND] [--n N]\n"
+    "                  [--attacks A,B,..] [--budget B]\n"
+    "                  [--placement random|near_root|far_from_root]\n"
+    "                  [--rounds R] [--window W]\n"
+    "                  [--no-defense] [--no-nonce] [--no-ingress]\n"
+    "                  [--no-rate-guard]\n"
+    "                  [--stream FILE] [--bundle-dir DIR]\n"
+    "                  [--recorder-window N]\n"
+    "attacks: any of lldp_spoof,probe_wormhole,flap_storm (episodes rotate)\n"
+    "ablations (--no-*): the gate inverts — exit 0 when the\n"
+    "attack poisoned at least one ablated map\n";
+
+/// The security gate: every hardened map clean and converged, and every
+/// attack kind fooled the baseline at least once (otherwise the episodes
+/// prove nothing about the defense).  Under ablation the gate inverts: the
+/// ablation is the experiment — removing a defense must let the attack land
+/// somewhere, or the defense wasn't doing anything.
+int gate(const Config& cfg, const std::vector<EpisodeResult>& eps) {
+  const Tally t = tally(cfg, eps);
+  const bool held =
+      cfg.ablated() ? t.clean < eps.size()
+                    : t.clean == eps.size() && t.converged == eps.size() &&
+                          t.baseline_fooled;
   std::fprintf(stderr,
-               "usage: attack_run [--episodes N] [--seed S] [--threads T]\n"
-               "                  [--out FILE] [--topo KIND] [--n N]\n"
-               "                  [--attacks A,B,..] [--budget B]\n"
-               "                  [--placement random|near_root|far_from_root]\n"
-               "                  [--rounds R] [--window W]\n"
-               "                  [--no-defense] [--no-nonce] [--no-ingress]\n"
-               "                  [--no-rate-guard]\n"
-               "                  [--stream FILE] [--bundle-dir DIR]\n"
-               "                  [--recorder-window N]\n"
-               "attacks: any of lldp_spoof,probe_wormhole,flap_storm "
-               "(episodes rotate)\n"
-               "ablations (--no-*): the gate inverts — exit 0 when the\n"
-               "attack poisoned at least one ablated map\n");
-  return 2;
+               "attack_run: %llu/%llu %s map(s) clean, %llu converged; "
+               "%sgate %s\n",
+               static_cast<unsigned long long>(t.clean),
+               static_cast<unsigned long long>(eps.size()),
+               cfg.ablated() ? "ablated" : "hardened",
+               static_cast<unsigned long long>(t.converged),
+               cfg.ablated() ? "ablation " : "", held ? "HELD" : "FAILED");
+  return held ? 0 : 1;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int k = 1; k < argc; ++k) {
-    auto arg = [&](const char* name) {
-      return std::strcmp(argv[k], name) == 0 && k + 1 < argc;
-    };
-    if (arg("--episodes")) {
-      cfg.episodes = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--seed")) {
-      cfg.seed = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--threads")) {
-      cfg.threads = static_cast<unsigned>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--out")) {
-      cfg.out_path = argv[++k];
-    } else if (arg("--topo")) {
-      cfg.topo = argv[++k];
-    } else if (arg("--n")) {
-      cfg.n = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--attacks")) {
-      cfg.attacks = split_csv(argv[++k]);
-    } else if (arg("--budget")) {
-      cfg.budget = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--placement")) {
-      cfg.placement = argv[++k];
-    } else if (arg("--rounds")) {
-      cfg.rounds = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--window")) {
-      cfg.window = std::strtoull(argv[++k], nullptr, 10);
-    } else if (std::strcmp(argv[k], "--no-defense") == 0) {
-      cfg.no_defense = true;
-    } else if (std::strcmp(argv[k], "--no-nonce") == 0) {
-      cfg.no_nonce = true;
-    } else if (std::strcmp(argv[k], "--no-ingress") == 0) {
-      cfg.no_ingress = true;
-    } else if (std::strcmp(argv[k], "--no-rate-guard") == 0) {
-      cfg.no_rate_guard = true;
-    } else if (arg("--stream")) {
-      cfg.stream_path = argv[++k];
-    } else if (arg("--recorder-window")) {
-      cfg.recorder_window = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--bundle-dir")) {
-      cfg.bundle_dir = argv[++k];
-    } else {
-      return usage();
-    }
-  }
-  if (cfg.episodes == 0 || cfg.attacks.empty() || cfg.rounds == 0 ||
-      cfg.window == 0 || cfg.budget == 0 || cfg.recorder_window == 0)
-    return usage();
+  episode::Flags flags(kUsage);
+  flags.sweep(cfg.sweep, "--episodes")
+      .str("--topo", cfg.topo)
+      .num("--n", cfg.n)
+      .csv("--attacks", cfg.attacks)
+      .num("--budget", cfg.budget)
+      .str("--placement", cfg.placement)
+      .num("--rounds", cfg.rounds)
+      .num("--window", cfg.window)
+      .on("--no-defense", cfg.no_defense)
+      .on("--no-nonce", cfg.no_nonce)
+      .on("--no-ingress", cfg.no_ingress)
+      .on("--no-rate-guard", cfg.no_rate_guard)
+      .num("--recorder-window", cfg.recorder_window)
+      .str("--bundle-dir", cfg.sweep.bundle_dir);
+  if (!flags.parse(argc, argv) || cfg.sweep.items == 0 || cfg.attacks.empty() ||
+      cfg.rounds == 0 || cfg.window == 0 || cfg.budget == 0 ||
+      cfg.recorder_window == 0)
+    return flags.usage();
   for (const std::string& s : cfg.attacks)
-    if (!scenario::attack_kind_from(s)) return usage();
-  if (!scenario::attack_placement_from(cfg.placement)) return usage();
+    if (!scenario::attack_kind_from(s)) return flags.usage();
+  if (!scenario::attack_placement_from(cfg.placement)) return flags.usage();
 
-  // Pre-draw every episode's seed in episode order so the fan-out's work
-  // list — and thus every episode's entire behaviour — is fixed before any
-  // thread starts.
-  util::Rng seeder(cfg.seed);
-  std::vector<std::uint64_t> seeds(cfg.episodes);
-  for (std::uint64_t& s : seeds) s = seeder.uniform(1, ~std::uint64_t{0} - 1);
-
-  std::vector<EpisodeResult> eps;
-  try {
-    eps = bench::parallel_sweep(
-        seeds,
-        [&cfg](const std::uint64_t& s, std::size_t i) {
-          return run_episode(cfg, s, i);
-        },
-        cfg.threads);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "attack_run: %s\n", ex.what());
-    return 2;
-  }
-
-  if (cfg.out_path.empty()) {
-    write_output(std::cout, cfg, eps);
-  } else {
-    std::ofstream os(cfg.out_path, std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "attack_run: cannot write %s\n", cfg.out_path.c_str());
-      return 2;
-    }
-    write_output(os, cfg, eps);
-  }
-
-  // Streamed windows: per-episode buffers concatenated in episode order
-  // (byte-identical at any --threads), each behind a separator line.
-  if (!cfg.stream_path.empty()) {
-    std::ofstream ss(cfg.stream_path, std::ios::trunc);
-    if (!ss) {
-      std::fprintf(stderr, "attack_run: cannot write %s\n",
-                   cfg.stream_path.c_str());
-      return 2;
-    }
-    for (std::size_t k = 0; k < eps.size(); ++k) {
-      obs::JsonObj sep;
-      sep.add("type", "episode_stream")
-          .add_u("schema_version", obs::kStreamSchemaVersion)
-          .add("episode", k)
-          .add("seed", eps[k].seed)
-          .add("attack", eps[k].attack);
-      ss << sep.str() << "\n" << eps[k].stream;
-    }
-  }
-
-  // Post-mortem bundles, one file per triggered episode.
-  std::uint64_t bundles = 0;
-  if (!cfg.bundle_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(cfg.bundle_dir, ec);
-    for (std::size_t k = 0; k < eps.size(); ++k) {
-      if (eps[k].bundle.empty()) continue;
-      const std::string path =
-          util::cat(cfg.bundle_dir, "/postmortem-ep", k, ".jsonl");
-      std::ofstream bs(path, std::ios::trunc);
-      if (!bs) {
-        std::fprintf(stderr, "attack_run: cannot write %s\n", path.c_str());
-        return 2;
-      }
-      bs << eps[k].bundle;
-      ++bundles;
-    }
-  }
-
-  // The gate: every hardened map clean (peak: at EVERY round, matching
-  // kNoFabricatedLink) and converged; every attack kind fooled the
-  // baseline at least once (otherwise the episodes prove nothing about
-  // the defense).
-  std::uint64_t clean = 0, converged = 0;
-  std::map<std::string, std::uint64_t> fooled;
-  for (const EpisodeResult& e : eps) {
-    clean += e.snapshot_fabricated_peak == 0 ? 1 : 0;
-    converged += e.snapshot_converged ? 1 : 0;
-    fooled[e.attack] += e.lldp_fabricated_peak >= 1 ? 1 : 0;
-  }
-  bool gate;
-  if (cfg.ablated()) {
-    // Inverted gate: the ablation is the experiment — removing a defense
-    // must let the attack land somewhere, or the defense wasn't doing
-    // anything.
-    gate = clean < eps.size();
-  } else {
-    gate = clean == eps.size() && converged == eps.size();
-    for (const std::string& kind : cfg.attacks)
-      gate = gate && fooled[kind] >= 1;
-  }
-  std::fprintf(stderr,
-               "attack_run: %llu/%llu %s map(s) clean, %llu converged; "
-               "%sgate %s\n",
-               static_cast<unsigned long long>(clean),
-               static_cast<unsigned long long>(eps.size()),
-               cfg.ablated() ? "ablated" : "hardened",
-               static_cast<unsigned long long>(converged),
-               cfg.ablated() ? "ablation " : "", gate ? "HELD" : "FAILED");
-  if (!cfg.bundle_dir.empty())
-    std::fprintf(stderr, "attack_run: %llu post-mortem bundle(s) written\n",
-                 static_cast<unsigned long long>(bundles));
-  return gate ? 0 : 1;
+  return episode::run_sweep(
+      episode::Driver<EpisodeResult>{
+          .name = "attack_run",
+          .run = [&cfg](std::uint64_t s,
+                        std::size_t i) { return run_episode(cfg, s, i); },
+          .emit = [&cfg](std::ostream& os,
+                         const std::vector<EpisodeResult>& eps) {
+            write_output(os, cfg, eps);
+          },
+          .sections = [](const EpisodeResult& e, std::size_t k) {
+            return std::vector<episode::Section>{
+                {e.rec, episode::separator("episode_stream")
+                            .add("episode", k)
+                            .add("seed", e.seed)
+                            .add("attack", e.attack)
+                            .str()}};
+          },
+          .gate = [&cfg](const std::vector<EpisodeResult>& eps) {
+            return gate(cfg, eps);
+          }},
+      cfg.sweep);
 }

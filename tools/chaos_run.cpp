@@ -22,27 +22,17 @@
 // --poison disables the recovery service and injects one guaranteed
 // rule-corruption fault per episode, so the hardened run fails and the
 // flight recorder MUST produce a bundle whose last-K events contain the
-// corrupting fault — the CI assertion for the post-mortem path.
+// corrupting fault — the ctest assertion for the post-mortem path.
 //
-// Determinism contract: per-episode seeds are pre-drawn from Rng(seed) in
-// episode order, each episode derives ALL of its randomness from its own
-// seed, episodes fan out over bench::parallel_sweep (results returned in
-// item order), histograms fold with obs::Histogram::merge (commutative
-// bucket addition), and each episode's recorder buffers its window stream
-// in memory (emitted to --stream in episode order after the sweep) — so
-// stdout, --out, --stream and every bundle are byte-identical at ANY
-// thread count.  No wall-clock values are emitted.
+// Output is byte-identical at any --threads: see the episode harness
+// contract in docs/observability.md.
 //
 // Exit codes: 0 = every episode ended with a clean final audit and every
 // divergence repaired; 1 = at least one episode left damage behind;
 // 2 = usage / setup error.
 
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -50,11 +40,10 @@
 #include "core/fields.hpp"
 #include "obs/hist.hpp"
 #include "obs/json.hpp"
-#include "obs/recorder.hpp"
-#include "obs/timeline.hpp"
 #include "scenario/chaos.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "tools/episode.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 
@@ -79,44 +68,22 @@ struct EpisodeResult {
   std::uint64_t background_packets = 0;
   obs::Histogram mttr_hops;
   obs::Histogram mttr_time;
-  std::string stream;   // buffered window stream (deterministic)
-  std::string bundle;   // post-mortem bundle, empty unless triggered
-  std::uint64_t alerts = 0;
+  episode::Recording rec;
 };
 
 struct Config {
-  std::uint64_t episodes = 20;
-  std::uint64_t seed = 1;
-  unsigned threads = 1;
+  episode::Sweep sweep{20};  // --episodes default
   std::string topo = "torus";
   std::size_t n = 16;
   std::uint32_t faults = 6;
   std::vector<std::string> services = {"plain", "snapshot", "anycast",
                                        "critical"};
   std::uint32_t burst = 4;
-  std::string out_path;
-  std::string stream_path;
   std::uint64_t window = 256;  // recorder sampling window (events)
   bool poison = false;
-  std::string bundle_dir;
 
-  bool recording() const {
-    return !stream_path.empty() || !bundle_dir.empty() || poison;
-  }
+  bool recording() const { return sweep.recording() || poison; }
 };
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::size_t from = 0;
-  while (from <= s.size()) {
-    const std::size_t comma = s.find(',', from);
-    const std::size_t to = comma == std::string::npos ? s.size() : comma;
-    if (to > from) out.push_back(s.substr(from, to - from));
-    if (comma == std::string::npos) break;
-    from = comma + 1;
-  }
-  return out;
-}
 
 EpisodeResult run_episode(const Config& cfg, std::uint64_t ep_seed,
                           std::size_t index) {
@@ -188,20 +155,10 @@ EpisodeResult run_episode(const Config& cfg, std::uint64_t ep_seed,
   }
   scenario::sort_schedule(spec.schedule);
 
-  scenario::ScenarioResult res;
   EpisodeResult out;
-  if (cfg.recording()) {
-    obs::Timeline tl(spec.graph);
-    obs::RecorderConfig rc;
-    rc.window_events = cfg.window;
-    obs::Recorder recorder(rc);
-    res = scenario::run_scenario(spec, &tl, &recorder);
-    out.stream = recorder.stream();
-    out.bundle = recorder.bundle();
-    out.alerts = recorder.alert_count();
-  } else {
-    res = scenario::run_scenario(spec);
-  }
+  const scenario::ScenarioResult res =
+      cfg.recording() ? episode::run_recorded(spec, cfg.window, out.rec)
+                      : scenario::run_scenario(spec);
   out.seed = ep_seed;
   out.service = spec.service;
   out.verdict = res.verdict;
@@ -232,8 +189,8 @@ void write_output(std::ostream& os, const Config& cfg,
   {
     obs::JsonObj o;
     o.add("type", "chaos_run")
-        .add("episodes", cfg.episodes)
-        .add("seed", cfg.seed)
+        .add("episodes", cfg.sweep.items)
+        .add("seed", cfg.sweep.seed)
         .add("topology", cfg.topo)
         .add("n", cfg.n)
         .add("faults_per_episode", cfg.faults)
@@ -263,7 +220,7 @@ void write_output(std::ostream& os, const Config& cfg,
         .add("probes_verified", e.probes_verified)
         .add("background_packets", e.background_packets);
     if (cfg.recording())
-      o.add("alerts", e.alerts).add("bundled", !e.bundle.empty());
+      o.add("alerts", e.rec.alerts).add("bundled", !e.rec.bundle.empty());
     os << o.str() << "\n";
   }
   const obs::Histogram mttr_hops = bench::merge_hist_shards(
@@ -282,143 +239,61 @@ void write_output(std::ostream& os, const Config& cfg,
   os << o.str() << "\n";
 }
 
-int usage() {
-  std::fprintf(stderr,
-               "usage: chaos_run [--episodes N] [--seed S] [--threads T]\n"
-               "                 [--out FILE] [--topo KIND] [--n N] [--faults F]\n"
-               "                 [--services A,B,..] [--burst B]\n"
-               "                 [--stream FILE] [--window N] [--poison]\n"
-               "                 [--bundle-dir DIR]\n"
-               "services: any of plain,snapshot,anycast,critical (episodes "
-               "rotate)\n"
-               "--stream: windowed recorder JSONL (deterministic across "
-               "--threads)\n"
-               "--poison: disable recovery + inject an unrepaired rule "
-               "corruption\n");
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: chaos_run [--episodes N] [--seed S] [--threads T]\n"
+    "                 [--out FILE] [--topo KIND] [--n N] [--faults F]\n"
+    "                 [--services A,B,..] [--burst B]\n"
+    "                 [--stream FILE] [--window N] [--poison]\n"
+    "                 [--bundle-dir DIR]\n"
+    "services: any of plain,snapshot,anycast,critical (episodes rotate)\n"
+    "--stream: windowed recorder JSONL (deterministic across --threads)\n"
+    "--poison: disable recovery + inject an unrepaired rule corruption\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int k = 1; k < argc; ++k) {
-    auto arg = [&](const char* name) {
-      return std::strcmp(argv[k], name) == 0 && k + 1 < argc;
-    };
-    if (arg("--episodes")) {
-      cfg.episodes = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--seed")) {
-      cfg.seed = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--threads")) {
-      cfg.threads = static_cast<unsigned>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--out")) {
-      cfg.out_path = argv[++k];
-    } else if (arg("--topo")) {
-      cfg.topo = argv[++k];
-    } else if (arg("--n")) {
-      cfg.n = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--faults")) {
-      cfg.faults = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--services")) {
-      cfg.services = split_csv(argv[++k]);
-    } else if (arg("--burst")) {
-      cfg.burst = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--stream")) {
-      cfg.stream_path = argv[++k];
-    } else if (arg("--window")) {
-      cfg.window = std::strtoull(argv[++k], nullptr, 10);
-    } else if (std::strcmp(argv[k], "--poison") == 0) {
-      cfg.poison = true;
-    } else if (arg("--bundle-dir")) {
-      cfg.bundle_dir = argv[++k];
-    } else {
-      return usage();
-    }
-  }
-  if (cfg.window == 0) return usage();
-  if (cfg.episodes == 0 || cfg.services.empty()) return usage();
+  episode::Flags flags(kUsage);
+  flags.sweep(cfg.sweep, "--episodes")
+      .str("--topo", cfg.topo)
+      .num("--n", cfg.n)
+      .num("--faults", cfg.faults)
+      .csv("--services", cfg.services)
+      .num("--burst", cfg.burst)
+      .num("--window", cfg.window)
+      .on("--poison", cfg.poison)
+      .str("--bundle-dir", cfg.sweep.bundle_dir);
+  if (!flags.parse(argc, argv) || cfg.window == 0 || cfg.sweep.items == 0 ||
+      cfg.services.empty())
+    return flags.usage();
   for (const std::string& s : cfg.services)
     if (s != "plain" && s != "snapshot" && s != "anycast" && s != "critical")
-      return usage();
+      return flags.usage();
 
-  // Pre-draw every episode's seed in episode order so the fan-out's work
-  // list — and thus every episode's entire behaviour — is fixed before any
-  // thread starts.
-  util::Rng seeder(cfg.seed);
-  std::vector<std::uint64_t> seeds(cfg.episodes);
-  for (std::uint64_t& s : seeds) s = seeder.uniform(1, ~std::uint64_t{0} - 1);
-
-  std::vector<EpisodeResult> eps;
-  try {
-    eps = bench::parallel_sweep(
-        seeds,
-        [&cfg](const std::uint64_t& s, std::size_t i) {
-          return run_episode(cfg, s, i);
-        },
-        cfg.threads);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "chaos_run: %s\n", ex.what());
-    return 2;
-  }
-
-  if (cfg.out_path.empty()) {
-    write_output(std::cout, cfg, eps);
-  } else {
-    std::ofstream os(cfg.out_path, std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "chaos_run: cannot write %s\n", cfg.out_path.c_str());
-      return 2;
-    }
-    write_output(os, cfg, eps);
-  }
-
-  // Streamed windows: per-episode buffers concatenated in episode order
-  // (byte-identical at any --threads), each behind a separator line.
-  if (!cfg.stream_path.empty()) {
-    std::ofstream ss(cfg.stream_path, std::ios::trunc);
-    if (!ss) {
-      std::fprintf(stderr, "chaos_run: cannot write %s\n",
-                   cfg.stream_path.c_str());
-      return 2;
-    }
-    for (std::size_t k = 0; k < eps.size(); ++k) {
-      obs::JsonObj sep;
-      sep.add("type", "episode_stream")
-          .add_u("schema_version", obs::kStreamSchemaVersion)
-          .add("episode", k)
-          .add("seed", eps[k].seed)
-          .add("service", eps[k].service);
-      ss << sep.str() << "\n" << eps[k].stream;
-    }
-  }
-
-  // Post-mortem bundles, one file per triggered episode.
-  std::uint64_t bundles = 0;
-  if (!cfg.bundle_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(cfg.bundle_dir, ec);
-    for (std::size_t k = 0; k < eps.size(); ++k) {
-      if (eps[k].bundle.empty()) continue;
-      const std::string path =
-          util::cat(cfg.bundle_dir, "/postmortem-ep", k, ".jsonl");
-      std::ofstream bs(path, std::ios::trunc);
-      if (!bs) {
-        std::fprintf(stderr, "chaos_run: cannot write %s\n", path.c_str());
-        return 2;
-      }
-      bs << eps[k].bundle;
-      ++bundles;
-    }
-  }
-
-  std::uint64_t repaired = 0;
-  for (const EpisodeResult& e : eps) repaired += e.all_repaired ? 1 : 0;
-  std::fprintf(stderr, "chaos_run: %llu/%llu episode(s) fully repaired\n",
-               static_cast<unsigned long long>(repaired),
-               static_cast<unsigned long long>(eps.size()));
-  if (!cfg.bundle_dir.empty())
-    std::fprintf(stderr, "chaos_run: %llu post-mortem bundle(s) written\n",
-                 static_cast<unsigned long long>(bundles));
-  return repaired == eps.size() ? 0 : 1;
+  return episode::run_sweep(
+      episode::Driver<EpisodeResult>{
+          .name = "chaos_run",
+          .run = [&cfg](std::uint64_t s,
+                        std::size_t i) { return run_episode(cfg, s, i); },
+          .emit = [&cfg](std::ostream& os,
+                         const std::vector<EpisodeResult>& eps) {
+            write_output(os, cfg, eps);
+          },
+          .sections = [](const EpisodeResult& e, std::size_t k) {
+            return std::vector<episode::Section>{
+                {e.rec, episode::separator("episode_stream")
+                             .add("episode", k)
+                             .add("seed", e.seed)
+                             .add("service", e.service)
+                             .str()}};
+          },
+          .gate = [](const std::vector<EpisodeResult>& eps) {
+            std::uint64_t repaired = 0;
+            for (const EpisodeResult& e : eps) repaired += e.all_repaired ? 1 : 0;
+            std::fprintf(stderr, "chaos_run: %llu/%llu episode(s) fully repaired\n",
+                         static_cast<unsigned long long>(repaired),
+                         static_cast<unsigned long long>(eps.size()));
+            return repaired == eps.size() ? 0 : 1;
+          }},
+      cfg.sweep);
 }

@@ -40,7 +40,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -54,26 +53,11 @@
 #include "obs/timeline.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "tools/episode.hpp"
 
 using namespace ss;
 
 namespace {
-
-std::vector<std::string> split_csv(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',') {
-      if (!cur.empty()) out.push_back(cur);
-      cur.clear();
-    } else {
-      cur += c;
-    }
-  }
-  if (!cur.empty()) out.push_back(cur);
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 std::string join_csv(const std::vector<std::string>& v) {
   std::string out;
@@ -252,15 +236,16 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[k], "--follow") == 0 && k + 1 < argc) {
       follow_path = argv[++k];
     } else if (std::strcmp(argv[k], "--expect-alerts") == 0 && k + 1 < argc) {
-      expect_alerts = std::strtoull(argv[++k], nullptr, 10);
+      if (!episode::parse_num(argv[++k], expect_alerts)) return usage();
       have_expect_alerts = true;
     } else if (std::strcmp(argv[k], "--expect-fabricated") == 0 && k + 1 < argc) {
-      expect_fabricated = std::strtoull(argv[++k], nullptr, 10);
+      if (!episode::parse_num(argv[++k], expect_fabricated)) return usage();
       have_expect_fabricated = gated = true;
     } else if (std::strcmp(argv[k], "--expect-clean") == 0) {
       expect_clean = gated = true;
     } else if (std::strcmp(argv[k], "--expect-anomalies") == 0 && k + 1 < argc) {
-      expect_anomalies = split_csv(argv[++k]);
+      expect_anomalies = episode::split_csv(argv[++k]);
+      std::sort(expect_anomalies.begin(), expect_anomalies.end());
       have_expect_anomalies = gated = true;
     } else if (std::strcmp(argv[k], "--expect-reaction") == 0 && k + 1 < argc) {
       expect_reaction = argv[++k];

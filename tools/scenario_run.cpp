@@ -13,50 +13,49 @@
 // is written to FILE; --window sets the sampling window in simulator
 // events (default 256).  The stream is deterministic for a given spec.
 //
+// The run is a one-item sweep of the episode harness (docs/observability.md)
+// whose item ignores the harness seed: all randomness comes from the spec.
+//
 // Exit codes: 0 = ran and every "expect" assertion held; 1 = an expect
 // assertion failed; 2 = unreadable/invalid spec.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
-#include "obs/recorder.hpp"
-#include "obs/timeline.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
+#include "tools/episode.hpp"
 
 using namespace ss;
 
 namespace {
-int usage() {
-  std::fprintf(stderr,
-               "usage: scenario_run <scenario.json> [--out FILE]\n"
-               "                    [--stream FILE] [--window N]\n");
-  return 2;
-}
+
+constexpr const char* kUsage =
+    "usage: scenario_run <scenario.json> [--out FILE]\n"
+    "                    [--stream FILE] [--window N]\n";
+
+struct Run {
+  scenario::ScenarioResult res;
+  episode::Recording rec;
+};
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string path, out_path, stream_path;
+  std::string path;
+  episode::Sweep sw;
   std::uint64_t window = 256;
-  for (int k = 1; k < argc; ++k) {
-    if (std::strcmp(argv[k], "--out") == 0 && k + 1 < argc) {
-      out_path = argv[++k];
-    } else if (std::strcmp(argv[k], "--stream") == 0 && k + 1 < argc) {
-      stream_path = argv[++k];
-    } else if (std::strcmp(argv[k], "--window") == 0 && k + 1 < argc) {
-      window = std::strtoull(argv[++k], nullptr, 10);
-    } else if (path.empty() && argv[k][0] != '-') {
-      path = argv[k];
-    } else {
-      return usage();
-    }
-  }
-  if (path.empty() || window == 0) return usage();
+  episode::Flags flags(kUsage);
+  flags.positional(path)
+      .str("--out", sw.out)
+      .str("--stream", sw.stream)
+      .num("--window", window);
+  if (!flags.parse(argc, argv) || path.empty() || window == 0)
+    return flags.usage();
 
   std::ifstream in(path);
   if (!in) {
@@ -73,47 +72,34 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  scenario::ScenarioResult res;
-  if (stream_path.empty()) {
-    res = scenario::run_scenario(*spec);
-  } else {
-    obs::Timeline tl(spec->graph);
-    obs::RecorderConfig rc;
-    rc.window_events = window;
-    obs::Recorder rec(rc);
-    res = scenario::run_scenario(*spec, &tl, &rec);
-    std::ofstream ss(stream_path, std::ios::trunc);
-    if (!ss) {
-      std::fprintf(stderr, "scenario_run: cannot write %s\n",
-                   stream_path.c_str());
-      return 2;
-    }
-    ss << rec.stream();
-    if (rec.bundled()) {
-      obs::JsonObj sep;
-      sep.add("type", "bundle")
-          .add_u("schema_version", obs::kStreamSchemaVersion);
-      ss << sep.str() << "\n" << rec.bundle();
-    }
-  }
-
-  if (out_path.empty()) {
-    scenario::write_result_jsonl(std::cout, *spec, res);
-  } else {
-    std::ofstream os(out_path, std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "scenario_run: cannot write %s\n", out_path.c_str());
-      return 2;
-    }
-    scenario::write_result_jsonl(os, *spec, res);
-  }
-
-  std::fprintf(stderr,
-               "%s: %s in %u attempt(s), ground_truth=%s, %zu event(s), expect %s\n",
-               spec->name.c_str(), res.verdict.c_str(), res.attempts,
-               res.ground_truth_ok ? "ok" : "FAIL", res.timeline.size(),
-               res.expect_ok ? "ok" : "FAILED");
-  for (const std::string& f : res.expect_failures)
-    std::fprintf(stderr, "  expect failed: %s\n", f.c_str());
-  return res.expect_ok ? 0 : 1;
+  return episode::run_sweep(
+      episode::Driver<Run>{
+          .name = "scenario_run",
+          .run = [&](std::uint64_t, std::size_t) {
+            Run r;
+            r.res = sw.recording() ? episode::run_recorded(*spec, window, r.rec)
+                                   : scenario::run_scenario(*spec);
+            return r;
+          },
+          .emit = [&](std::ostream& os, const std::vector<Run>& runs) {
+            scenario::write_result_jsonl(os, *spec, runs.front().res);
+          },
+          .sections = [](const Run& r, std::size_t) {
+            return std::vector<episode::Section>{
+                {r.rec, "", episode::separator("bundle").str()}};
+          },
+          .gate = [&](const std::vector<Run>& runs) {
+            const scenario::ScenarioResult& res = runs.front().res;
+            std::fprintf(
+                stderr,
+                "%s: %s in %u attempt(s), ground_truth=%s, %zu event(s), "
+                "expect %s\n",
+                spec->name.c_str(), res.verdict.c_str(), res.attempts,
+                res.ground_truth_ok ? "ok" : "FAIL", res.timeline.size(),
+                res.expect_ok ? "ok" : "FAILED");
+            for (const std::string& f : res.expect_failures)
+              std::fprintf(stderr, "  expect failed: %s\n", f.c_str());
+            return res.expect_ok ? 0 : 1;
+          }},
+      sw);
 }

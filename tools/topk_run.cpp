@@ -13,15 +13,12 @@
 //
 // --stream attaches a flight recorder per trial (windowed probe samples,
 // sketch-fill gauge, online sweep-verdict alerts) and writes the buffered
-// per-trial streams to FILE in trial order — byte-identical at any
-// --threads.  --window sets the sampling window in simulator events.
+// per-trial streams to FILE in trial order, each behind a
+// {"type":"trial_stream"} separator.  --window sets the sampling window in
+// simulator events.
 //
-// Determinism contract (same as chaos_run): per-trial seeds are pre-drawn
-// in trial order, every trial derives all randomness from its own seed and
-// owns its network, trials fan out over bench::parallel_sweep (results in
-// item order), and histograms fold with obs::Histogram::merge — so stdout
-// and --out are byte-identical at ANY thread count.  No wall-clock values
-// are emitted.
+// Output is byte-identical at any --threads: see the episode harness
+// contract in docs/observability.md.
 //
 // Exit codes: 0 = every trial swept completely, every estimate respected
 // both count-min bounds, and recall >= --min-recall; 1 = a trial missed;
@@ -29,9 +26,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -42,7 +38,7 @@
 #include "obs/topk.hpp"
 #include "scenario/spec.hpp"
 #include "sim/flowgen.hpp"
-#include "util/rng.hpp"
+#include "tools/episode.hpp"
 #include "util/strings.hpp"
 
 using namespace ss;
@@ -50,6 +46,7 @@ using namespace ss;
 namespace {
 
 struct Config {
+  episode::Sweep sweep;
   std::string topo = "torus";
   std::size_t n = 225;
   std::uint32_t sketches = 8;
@@ -64,12 +61,7 @@ struct Config {
   // default moduli).  A wrapped cell shows up as a row-sum inconsistency.
   std::uint32_t elephant_min = 16'384;
   std::uint32_t elephant_max = 65'536;
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 1;
-  unsigned threads = 1;
   double min_recall = 0.9;
-  std::string out_path;
-  std::string stream_path;
   std::uint64_t window = 65536;  // trials are packet-heavy; sample coarsely
 };
 
@@ -90,8 +82,7 @@ struct TrialResult {
   std::vector<obs::FlowEstimate> top;
   obs::Histogram flow_packets;
   obs::Histogram flow_bytes;
-  std::string stream;
-  std::string bundle;
+  episode::Recording rec;
 };
 
 TrialResult run_trial(const Config& cfg, const graph::Graph& g,
@@ -109,7 +100,7 @@ TrialResult run_trial(const Config& cfg, const graph::Graph& g,
   svc.install(net);
 
   std::optional<obs::Recorder> recorder;
-  if (!cfg.stream_path.empty()) {
+  if (cfg.sweep.recording()) {
     obs::RecorderConfig rc;
     rc.window_events = cfg.window;
     recorder.emplace(rc);
@@ -162,8 +153,7 @@ TrialResult run_trial(const Config& cfg, const graph::Graph& g,
     const bool tok = out.complete && out.row_sums_ok && out.bounds_ok &&
                      out.recall >= cfg.min_recall;
     recorder->finish(net, !tok);
-    out.stream = recorder->stream();
-    out.bundle = recorder->bundle();
+    out.rec.take(*recorder);
   }
   return out;
 }
@@ -191,8 +181,8 @@ void write_output(std::ostream& os, const Config& cfg, const graph::Graph& g,
         .add("epsilon", geom.epsilon())
         .add("delta", geom.delta())
         .add("crt_range", geom.range())
-        .add("seed", cfg.seed)
-        .add("trials", cfg.trials);
+        .add("seed", cfg.sweep.seed)
+        .add("trials", cfg.sweep.items);
     os << o.str() << "\n";
   }
   for (std::size_t i = 0; i < trials.size(); ++i) {
@@ -248,63 +238,33 @@ void write_output(std::ostream& os, const Config& cfg, const graph::Graph& g,
   os << o.str() << "\n";
 }
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: topk_run [--topo KIND] [--n N] [--sketches E] [--rows D]\n"
-      "                [--row-bits B] [--k K] [--elephants E] [--mice M]\n"
-      "                [--seed S] [--trials T] [--threads T] [--out FILE]\n"
-      "                [--min-recall R] [--stream FILE] [--window N]\n");
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: topk_run [--topo KIND] [--n N] [--sketches E] [--rows D]\n"
+    "                [--row-bits B] [--k K] [--elephants E] [--mice M]\n"
+    "                [--seed S] [--trials T] [--threads T] [--out FILE]\n"
+    "                [--min-recall R] [--stream FILE] [--window N]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int k = 1; k < argc; ++k) {
-    auto arg = [&](const char* name) {
-      return std::strcmp(argv[k], name) == 0 && k + 1 < argc;
-    };
-    if (arg("--topo")) {
-      cfg.topo = argv[++k];
-    } else if (arg("--n")) {
-      cfg.n = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--sketches")) {
-      cfg.sketches = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--rows")) {
-      cfg.rows = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--row-bits")) {
-      cfg.row_bits = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--k")) {
-      cfg.k = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephants")) {
-      cfg.elephants = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--mice")) {
-      cfg.mice = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephant-min")) {
-      cfg.elephant_min = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephant-max")) {
-      cfg.elephant_max = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--seed")) {
-      cfg.seed = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--trials")) {
-      cfg.trials = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--threads")) {
-      cfg.threads = static_cast<unsigned>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--out")) {
-      cfg.out_path = argv[++k];
-    } else if (arg("--min-recall")) {
-      cfg.min_recall = std::strtod(argv[++k], nullptr);
-    } else if (arg("--stream")) {
-      cfg.stream_path = argv[++k];
-    } else if (arg("--window")) {
-      cfg.window = std::strtoull(argv[++k], nullptr, 10);
-    } else {
-      return usage();
-    }
-  }
-  if (cfg.trials == 0 || cfg.sketches == 0 || cfg.window == 0) return usage();
+  episode::Flags flags(kUsage);
+  flags.sweep(cfg.sweep, "--trials")
+      .str("--topo", cfg.topo)
+      .num("--n", cfg.n)
+      .num("--sketches", cfg.sketches)
+      .num("--rows", cfg.rows)
+      .num("--row-bits", cfg.row_bits)
+      .num("--k", cfg.k)
+      .num("--elephants", cfg.elephants)
+      .num("--mice", cfg.mice)
+      .num("--elephant-min", cfg.elephant_min)
+      .num("--elephant-max", cfg.elephant_max)
+      .num("--min-recall", cfg.min_recall)
+      .num("--window", cfg.window);
+  if (!flags.parse(argc, argv) || cfg.sweep.items == 0 || cfg.sketches == 0 ||
+      cfg.window == 0)
+    return flags.usage();
 
   scenario::TopoRef topo;
   topo.kind = cfg.topo;
@@ -321,68 +281,36 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  util::Rng seeder(cfg.seed);
-  std::vector<std::uint64_t> seeds(cfg.trials);
-  for (std::uint64_t& s : seeds) s = seeder.uniform(1, ~std::uint64_t{0} - 1);
-
-  std::vector<TrialResult> trials;
-  try {
-    trials = bench::parallel_sweep(
-        seeds,
-        [&](const std::uint64_t& s, std::size_t) { return run_trial(cfg, g, s); },
-        cfg.threads);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "topk_run: %s\n", ex.what());
-    return 2;
-  }
-
-  if (cfg.out_path.empty()) {
-    write_output(std::cout, cfg, g, trials);
-  } else {
-    std::ofstream os(cfg.out_path, std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "topk_run: cannot write %s\n", cfg.out_path.c_str());
-      return 2;
-    }
-    write_output(os, cfg, g, trials);
-  }
-
-  // Streamed windows: per-trial buffers concatenated in trial order
-  // (byte-identical at any --threads), each behind a separator line.
-  if (!cfg.stream_path.empty()) {
-    std::ofstream ss(cfg.stream_path, std::ios::trunc);
-    if (!ss) {
-      std::fprintf(stderr, "topk_run: cannot write %s\n",
-                   cfg.stream_path.c_str());
-      return 2;
-    }
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      obs::JsonObj sep;
-      sep.add("type", "trial_stream")
-          .add_u("schema_version", obs::kStreamSchemaVersion)
-          .add("trial", i)
-          .add("seed", trials[i].seed);
-      ss << sep.str() << "\n" << trials[i].stream;
-      if (!trials[i].bundle.empty()) {
-        obs::JsonObj bsep;
-        bsep.add("type", "bundle")
-            .add_u("schema_version", obs::kStreamSchemaVersion)
-            .add("trial", i);
-        ss << bsep.str() << "\n" << trials[i].bundle;
-      }
-    }
-  }
-
-  std::uint64_t ok = 0;
-  double min_recall = 1.0;
-  for (const TrialResult& t : trials) {
-    ok += trial_ok(cfg, t) ? 1 : 0;
-    min_recall = std::min(min_recall, t.recall);
-  }
-  std::fprintf(stderr,
-               "topk_run: %llu/%llu trial(s) ok, min recall %.3f (gate %.3f)\n",
-               static_cast<unsigned long long>(ok),
-               static_cast<unsigned long long>(trials.size()), min_recall,
-               cfg.min_recall);
-  return ok == trials.size() ? 0 : 1;
+  return episode::run_sweep(
+      episode::Driver<TrialResult>{
+          .name = "topk_run",
+          .run = [&](std::uint64_t s, std::size_t) { return run_trial(cfg, g, s); },
+          .emit = [&](std::ostream& os, const std::vector<TrialResult>& trials) {
+            write_output(os, cfg, g, trials);
+          },
+          .sections = [](const TrialResult& t, std::size_t i) {
+            return std::vector<episode::Section>{
+                {t.rec,
+                 episode::separator("trial_stream")
+                     .add("trial", i)
+                     .add("seed", t.seed)
+                     .str(),
+                 episode::separator("bundle").add("trial", i).str()}};
+          },
+          .gate = [&cfg](const std::vector<TrialResult>& trials) {
+            std::uint64_t ok = 0;
+            double min_recall = 1.0;
+            for (const TrialResult& t : trials) {
+              ok += trial_ok(cfg, t) ? 1 : 0;
+              min_recall = std::min(min_recall, t.recall);
+            }
+            std::fprintf(
+                stderr,
+                "topk_run: %llu/%llu trial(s) ok, min recall %.3f (gate %.3f)\n",
+                static_cast<unsigned long long>(ok),
+                static_cast<unsigned long long>(trials.size()), min_recall,
+                cfg.min_recall);
+            return ok == trials.size() ? 0 : 1;
+          }},
+      cfg.sweep);
 }

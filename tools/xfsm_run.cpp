@@ -18,33 +18,23 @@
 // {"type":"machine_stream"} separator lines.  --window sets the sampling
 // window in simulator events (default 256).
 //
-// Determinism contract (same as chaos_run / topk_run): per-trial seeds are
-// pre-drawn in trial order, every trial derives all randomness from its own
-// seed and owns its network, trials fan out over bench::parallel_sweep
-// (results in item order), and each recorder buffers its stream in memory
-// (emitted in trial order after the sweep) — so stdout, --out and --stream
-// are byte-identical at ANY thread count.  No wall-clock values are
-// emitted.
+// Output is byte-identical at any --threads: see the episode harness
+// contract in docs/observability.md.
 //
 // Exit codes: 0 = every trial's every machine validated against the
 // interpreter and met its service property; 1 = a trial missed; 2 = usage /
 // setup error.
 
-#include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
-#include "bench/parallel.hpp"
 #include "obs/json.hpp"
-#include "obs/recorder.hpp"
-#include "obs/timeline.hpp"
 #include "scenario/runner.hpp"
 #include "scenario/spec.hpp"
-#include "util/rng.hpp"
+#include "tools/episode.hpp"
 #include "util/strings.hpp"
 
 using namespace ss;
@@ -52,6 +42,7 @@ using namespace ss;
 namespace {
 
 struct Config {
+  episode::Sweep sweep;
   std::string machine = "all";  // mac | policer | lb | all
   std::string topo = "torus";
   std::size_t n = 24;
@@ -63,11 +54,6 @@ struct Config {
   std::uint32_t elephant_min = 64;
   std::uint32_t elephant_max = 256;
   std::uint32_t rounds = 3;
-  std::uint64_t seed = 1;
-  std::uint64_t trials = 1;
-  unsigned threads = 1;
-  std::string out_path;
-  std::string stream_path;
   std::uint64_t window = 256;
 };
 
@@ -77,8 +63,7 @@ struct MachineResult {
   bool ground_truth_ok = false;
   std::string detail;
   obs::XfsmReportSection sec;
-  std::string stream;
-  std::string bundle;
+  episode::Recording rec;
 };
 
 using TrialResult = std::vector<MachineResult>;
@@ -101,30 +86,17 @@ std::vector<std::string> machine_list(const Config& cfg) {
   return {cfg.machine};
 }
 
-TrialResult run_trial(const Config& cfg, std::uint64_t trial_seed,
-                      std::string* error) {
+TrialResult run_trial(const Config& cfg, std::uint64_t trial_seed) {
   TrialResult out;
   for (const std::string& m : machine_list(cfg)) {
     std::string err;
     const auto spec = scenario::parse_scenario(spec_json(cfg, m, trial_seed),
                                                &err);
-    if (!spec) {
-      *error = util::cat("machine ", m, ": ", err);
-      return out;
-    }
+    if (!spec) throw std::runtime_error(util::cat("machine ", m, ": ", err));
     MachineResult mr;
-    scenario::ScenarioResult r;
-    if (cfg.stream_path.empty()) {
-      r = scenario::run_scenario(*spec);
-    } else {
-      obs::Timeline tl(spec->graph);
-      obs::RecorderConfig rc;
-      rc.window_events = cfg.window;
-      obs::Recorder rec(rc);
-      r = scenario::run_scenario(*spec, &tl, &rec);
-      mr.stream = rec.stream();
-      mr.bundle = rec.bundle();
-    }
+    const scenario::ScenarioResult r =
+        cfg.sweep.recording() ? episode::run_recorded(*spec, cfg.window, mr.rec)
+                              : scenario::run_scenario(*spec);
     mr.machine = m;
     mr.seed = trial_seed;
     mr.ground_truth_ok = r.ground_truth_ok;
@@ -151,8 +123,8 @@ void write_output(std::ostream& os, const Config& cfg,
         .add("hosts", cfg.hosts)
         .add("bucket", cfg.bucket)
         .add("flip_after", cfg.flip_after)
-        .add("seed", cfg.seed)
-        .add("trials", cfg.trials);
+        .add("seed", cfg.sweep.seed)
+        .add("trials", cfg.sweep.items);
     os << o.str() << "\n";
   }
   bool all_ok = true;
@@ -205,151 +177,82 @@ void write_output(std::ostream& os, const Config& cfg,
   os << o.str() << "\n";
 }
 
-int usage() {
-  std::fprintf(
-      stderr,
-      "usage: xfsm_run [--machine mac|policer|lb|all] [--topo KIND] [--n N]\n"
-      "                [--hosts H] [--bucket B] [--flip-after F]\n"
-      "                [--elephants E] [--mice M] [--rounds R] [--seed S]\n"
-      "                [--trials T] [--threads T] [--out FILE]\n"
-      "                [--stream FILE] [--window N]\n");
-  return 2;
-}
+constexpr const char* kUsage =
+    "usage: xfsm_run [--machine mac|policer|lb|all] [--topo KIND] [--n N]\n"
+    "                [--hosts H] [--bucket B] [--flip-after F]\n"
+    "                [--elephants E] [--mice M] [--rounds R] [--seed S]\n"
+    "                [--trials T] [--threads T] [--out FILE]\n"
+    "                [--stream FILE] [--window N]\n";
 
 }  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
-  for (int k = 1; k < argc; ++k) {
-    auto arg = [&](const char* name) {
-      return std::strcmp(argv[k], name) == 0 && k + 1 < argc;
-    };
-    if (arg("--machine")) {
-      cfg.machine = argv[++k];
-    } else if (arg("--topo")) {
-      cfg.topo = argv[++k];
-    } else if (arg("--n")) {
-      cfg.n = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--hosts")) {
-      cfg.hosts = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--bucket")) {
-      cfg.bucket = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--flip-after")) {
-      cfg.flip_after = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephants")) {
-      cfg.elephants = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--mice")) {
-      cfg.mice = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephant-min")) {
-      cfg.elephant_min = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--elephant-max")) {
-      cfg.elephant_max = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--rounds")) {
-      cfg.rounds = static_cast<std::uint32_t>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--seed")) {
-      cfg.seed = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--trials")) {
-      cfg.trials = std::strtoull(argv[++k], nullptr, 10);
-    } else if (arg("--threads")) {
-      cfg.threads = static_cast<unsigned>(std::strtoul(argv[++k], nullptr, 10));
-    } else if (arg("--out")) {
-      cfg.out_path = argv[++k];
-    } else if (arg("--stream")) {
-      cfg.stream_path = argv[++k];
-    } else if (arg("--window")) {
-      cfg.window = std::strtoull(argv[++k], nullptr, 10);
-    } else {
-      return usage();
-    }
-  }
-  if (cfg.trials == 0 || cfg.hosts == 0 || cfg.window == 0) return usage();
+  episode::Flags flags(kUsage);
+  flags.sweep(cfg.sweep, "--trials")
+      .str("--machine", cfg.machine)
+      .str("--topo", cfg.topo)
+      .num("--n", cfg.n)
+      .num("--hosts", cfg.hosts)
+      .num("--bucket", cfg.bucket)
+      .num("--flip-after", cfg.flip_after)
+      .num("--elephants", cfg.elephants)
+      .num("--mice", cfg.mice)
+      .num("--elephant-min", cfg.elephant_min)
+      .num("--elephant-max", cfg.elephant_max)
+      .num("--rounds", cfg.rounds)
+      .num("--window", cfg.window);
+  if (!flags.parse(argc, argv) || cfg.sweep.items == 0 || cfg.hosts == 0 ||
+      cfg.window == 0)
+    return flags.usage();
   if (cfg.machine != "all" && cfg.machine != "mac" && cfg.machine != "policer" &&
       cfg.machine != "lb")
-    return usage();
+    return flags.usage();
 
   // Validate the spec once up front so a bad topology/host combination is a
   // usage error, not a pile of per-trial failures.
   {
     std::string err;
     if (!scenario::parse_scenario(
-            spec_json(cfg, machine_list(cfg).front(), cfg.seed), &err)) {
+            spec_json(cfg, machine_list(cfg).front(), cfg.sweep.seed), &err)) {
       std::fprintf(stderr, "xfsm_run: %s\n", err.c_str());
       return 2;
     }
   }
 
-  util::Rng seeder(cfg.seed);
-  std::vector<std::uint64_t> seeds(cfg.trials);
-  for (std::uint64_t& s : seeds) s = seeder.uniform(1, ~std::uint64_t{0} - 1);
-
-  std::vector<std::string> errors(cfg.trials);
-  std::vector<TrialResult> trials;
-  try {
-    trials = bench::parallel_sweep(
-        seeds,
-        [&](const std::uint64_t& s, std::size_t i) {
-          return run_trial(cfg, s, &errors[i]);
-        },
-        cfg.threads);
-  } catch (const std::exception& ex) {
-    std::fprintf(stderr, "xfsm_run: %s\n", ex.what());
-    return 2;
-  }
-  for (const std::string& e : errors)
-    if (!e.empty()) {
-      std::fprintf(stderr, "xfsm_run: %s\n", e.c_str());
-      return 2;
-    }
-
-  if (cfg.out_path.empty()) {
-    write_output(std::cout, cfg, trials);
-  } else {
-    std::ofstream os(cfg.out_path, std::ios::trunc);
-    if (!os) {
-      std::fprintf(stderr, "xfsm_run: cannot write %s\n", cfg.out_path.c_str());
-      return 2;
-    }
-    write_output(os, cfg, trials);
-  }
-
-  // Streamed windows: per-machine buffers concatenated in (trial, machine)
-  // order (byte-identical at any --threads), each behind a separator line.
-  if (!cfg.stream_path.empty()) {
-    std::ofstream ss(cfg.stream_path, std::ios::trunc);
-    if (!ss) {
-      std::fprintf(stderr, "xfsm_run: cannot write %s\n",
-                   cfg.stream_path.c_str());
-      return 2;
-    }
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      for (const MachineResult& m : trials[i]) {
-        obs::JsonObj sep;
-        sep.add("type", "machine_stream")
-            .add_u("schema_version", obs::kStreamSchemaVersion)
-            .add("trial", i)
-            .add("machine", m.machine)
-            .add("seed", m.seed);
-        ss << sep.str() << "\n" << m.stream;
-        if (!m.bundle.empty()) {
-          obs::JsonObj bsep;
-          bsep.add("type", "bundle")
-              .add_u("schema_version", obs::kStreamSchemaVersion)
-              .add("trial", i)
-              .add("machine", m.machine);
-          ss << bsep.str() << "\n" << m.bundle;
-        }
-      }
-    }
-  }
-
-  std::uint64_t ok = 0, total = 0;
-  for (const TrialResult& t : trials)
-    for (const MachineResult& m : t) {
-      ++total;
-      ok += machine_ok(m) ? 1 : 0;
-    }
-  std::fprintf(stderr, "xfsm_run: %llu/%llu machine run(s) ok\n",
-               static_cast<unsigned long long>(ok),
-               static_cast<unsigned long long>(total));
-  return ok == total ? 0 : 1;
+  return episode::run_sweep(
+      episode::Driver<TrialResult>{
+          .name = "xfsm_run",
+          .run = [&cfg](std::uint64_t s, std::size_t) { return run_trial(cfg, s); },
+          .emit = [&cfg](std::ostream& os, const std::vector<TrialResult>& trials) {
+            write_output(os, cfg, trials);
+          },
+          .sections = [](const TrialResult& t, std::size_t i) {
+            std::vector<episode::Section> out;
+            for (const MachineResult& m : t)
+              out.emplace_back(m.rec,
+                               episode::separator("machine_stream")
+                                   .add("trial", i)
+                                   .add("machine", m.machine)
+                                   .add("seed", m.seed)
+                                   .str(),
+                               episode::separator("bundle")
+                                   .add("trial", i)
+                                   .add("machine", m.machine)
+                                   .str());
+            return out;
+          },
+          .gate = [](const std::vector<TrialResult>& trials) {
+            std::uint64_t ok = 0, total = 0;
+            for (const TrialResult& t : trials)
+              for (const MachineResult& m : t) {
+                ++total;
+                ok += machine_ok(m) ? 1 : 0;
+              }
+            std::fprintf(stderr, "xfsm_run: %llu/%llu machine run(s) ok\n",
+                         static_cast<unsigned long long>(ok),
+                         static_cast<unsigned long long>(total));
+            return ok == total ? 0 : 1;
+          }},
+      cfg.sweep);
 }
